@@ -1,6 +1,7 @@
 //! Perf baselines: microbenches for the validate hot loop, batch
-//! replication flush, and the FTL read path, plus end-to-end suite
-//! wall-clocks. See [`bench::perf`] for what each number means.
+//! replication flush, the FTL read path and the synchronous index
+//! lookup, plus end-to-end suite wall-clocks. See [`bench::perf`] for
+//! what each number means.
 //!
 //! ```text
 //! repro_perf [--seed S] [--json PATH] [--threads N] [--deterministic-only]

@@ -1,6 +1,7 @@
 //! Perf baselines for the hot paths the perfkit pass touched: the
-//! validate loop, batch replication flush, and the FTL read path, plus
-//! end-to-end wall-clock for two representative suites.
+//! validate loop, batch replication flush, the FTL read path and the
+//! synchronous index lookup, plus end-to-end wall-clock for two
+//! representative suites.
 //!
 //! Every bench reports two kinds of numbers, kept strictly apart:
 //!
@@ -324,6 +325,49 @@ pub fn bench_ftl_read(scale: Scale, seed: u64) -> BenchResult {
     }
 }
 
+/// Synchronous index lookup: a `FastMap<Key, Version>` holding 200k
+/// `Key::from(u64)` keys — the shape of every FTL mapping table at
+/// timeline scale — probed with a seeded mix of hits and misses. No sim,
+/// no NAND: this is the O(1) probe the flash read cost assumes, and the
+/// bench that shows a hasher whose low bits collapse on these keys.
+pub fn bench_index_lookup(scale: Scale, seed: u64) -> BenchResult {
+    const KEYS: u64 = 200_000;
+    let lookups: u64 = match scale {
+        Scale::Quick => 400_000,
+        Scale::Full => 4_000_000,
+    };
+    let index: FastMap<Key, Version> = (0..KEYS).map(|i| (key(i), version(10 + i % 7))).collect();
+    // Probe keys span twice the keyspace, so about half of them miss.
+    let mut rng = seed | 1;
+    let probes: Vec<Key> = (0..4_096)
+        .map(|_| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            key((rng >> 33) % (2 * KEYS))
+        })
+        .collect();
+
+    let before = alloc_counts();
+    let start = Instant::now();
+    let mut checksum = 0u64;
+    for i in 0..lookups {
+        let hit = index.get(&probes[(i % probes.len() as u64) as usize]);
+        checksum = checksum
+            .wrapping_mul(31)
+            .wrapping_add(hit.map_or(1, |v| v.ts.0));
+    }
+    let wall = start.elapsed();
+    BenchResult {
+        name: "index_lookup",
+        iters: lookups,
+        checksum,
+        sim_polls: 0,
+        allocs: alloc_delta(before),
+        wall,
+    }
+}
+
 /// End-to-end wall-clock for the group-commit sweep (honors `--threads`).
 pub fn suite_batch(scale: Scale, seed: u64) -> SuiteResult {
     let cfg = crate::batch::BatchSweepConfig::for_scale(scale);
@@ -362,6 +406,7 @@ pub fn run(scale: Scale, seed: u64) -> PerfReport {
         bench_validate(scale, seed),
         bench_batch_flush(scale, seed),
         bench_ftl_read(scale, seed),
+        bench_index_lookup(scale, seed),
     ];
     let suites = vec![suite_batch(scale, seed), suite_readscale(scale, seed)];
     PerfReport {
@@ -448,6 +493,7 @@ mod tests {
             bench_validate(Scale::Quick, seed),
             bench_batch_flush(Scale::Quick, seed),
             bench_ftl_read(Scale::Quick, seed),
+            bench_index_lookup(Scale::Quick, seed),
         ];
         // Alloc counts are per-process (the CI contract compares two
         // *processes*); in-process reruns see allocator warm-up skew.
@@ -487,5 +533,16 @@ mod tests {
         assert!(f.sim_polls > 0, "sim bench must drive the executor");
         let v = bench_validate(Scale::Quick, 7);
         assert_eq!(v.sim_polls, 0, "pure-CPU bench must not touch a sim");
+    }
+
+    #[test]
+    fn index_lookup_is_pure_cpu_and_seeded() {
+        let a = bench_index_lookup(Scale::Quick, 1);
+        assert_eq!(a.sim_polls, 0, "the index bench must not touch a sim");
+        assert_ne!(
+            a.checksum,
+            bench_index_lookup(Scale::Quick, 2).checksum,
+            "seed must steer the probe keys"
+        );
     }
 }

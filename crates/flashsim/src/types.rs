@@ -31,14 +31,19 @@ impl Key {
         self.0.is_empty()
     }
 
+    /// The integer id of a key in the `Key::from(u64)` layout (16 bytes:
+    /// big-endian id, zero tail); `None` for any other key.
+    pub fn as_id(&self) -> Option<u64> {
+        let (id, tail) = self.0.split_first_chunk::<8>()?;
+        (tail.len() == 8 && tail.iter().all(|&b| b == 0)).then(|| u64::from_be_bytes(*id))
+    }
+
     /// A stable 64-bit identifier for trace events: keys built by
     /// `Key::from(u64)` map back to their integer id, anything else to an
     /// FNV-1a hash of the bytes. Deterministic across runs and platforms.
     pub fn trace_id(&self) -> u64 {
-        if self.0.len() == 16 && self.0[8..].iter().all(|&b| b == 0) {
-            let mut id = [0u8; 8];
-            id.copy_from_slice(&self.0[..8]);
-            return u64::from_be_bytes(id);
+        if let Some(id) = self.as_id() {
+            return id;
         }
         let mut h: u64 = 0xcbf29ce484222325;
         for &b in self.0.iter() {
@@ -67,12 +72,9 @@ impl From<&str> for Key {
 
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.len() == 16 && self.0[8..].iter().all(|&b| b == 0) {
-            let mut id = [0u8; 8];
-            id.copy_from_slice(&self.0[..8]);
-            write!(f, "k{}", u64::from_be_bytes(id))
-        } else {
-            write!(f, "k{:02x?}", &self.0[..self.0.len().min(8)])
+        match self.as_id() {
+            Some(id) => write!(f, "k{id}"),
+            None => write!(f, "k{:02x?}", &self.0[..self.0.len().min(8)]),
         }
     }
 }
@@ -185,6 +187,18 @@ mod tests {
         let k = Key::from(42u64);
         assert_eq!(k.len(), 16);
         assert_eq!(k.to_string(), "k42");
+    }
+
+    #[test]
+    fn as_id_decodes_only_the_u64_layout() {
+        assert_eq!(Key::from(u64::MAX).as_id(), Some(u64::MAX));
+        assert_eq!(Key::from(7u64).trace_id(), 7);
+        assert_eq!(Key::from("abc").as_id(), None);
+        let mut tail = [0u8; 16];
+        tail[15] = 1;
+        assert_eq!(Key::new(&tail[..]).as_id(), None);
+        assert_eq!(Key::new(&[0u8; 17][..]).as_id(), None);
+        assert_eq!(Key::from("abc").to_string(), "k[61, 62, 63]");
     }
 
     #[test]

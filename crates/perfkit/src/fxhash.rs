@@ -6,6 +6,17 @@
 //! simulator-internal (`Key` digests, `TxnId`s, node ids), so speed and
 //! determinism win. Hand-written because the build environment is offline
 //! (no `rustc-hash` crate); the algorithm is the well-known public one.
+//!
+//! [`FxHasher::finish`] adds one step the classic hash lacks: the murmur3
+//! `fmix64` avalanche over the state. hashbrown picks a bucket from the
+//! *low* bits of the hash, and a multiply only carries entropy *upward*,
+//! so the raw Fx state keeps whatever the last word had in its high bits
+//! out of the bucket index. `Key::from(u64)` stores its id big-endian in
+//! bytes 0..8 — read as a little-endian word, a small id sits in bits
+//! 40..64 — and pads bytes 8..16 with zeros, so without the finalizer
+//! 200k such keys share 32 buckets and a lookup walks thousands of
+//! entries. The avalanche folds every state bit into the low bits for a
+//! few cycles per hash.
 
 use std::hash::Hasher;
 
@@ -78,9 +89,16 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The Fx state run through murmur3's `fmix64` avalanche, so every
+    /// input bit reaches the low bits hashbrown indexes by.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        let mut h = self.hash;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 }
 
@@ -127,5 +145,42 @@ mod tests {
         // a non-cryptographic hasher, but assert it so a refactor that
         // changes the folding is noticed.
         assert_eq!(c.finish(), a.finish());
+    }
+
+    /// Distinct values the low `bits` bits of `finish()` take over `ids`,
+    /// each hashed the way `Key::from(u64)`'s derived `Hash` feeds it:
+    /// the slice length, then 8 bytes of big-endian id and 8 zero bytes.
+    fn low_bit_spread(ids: impl Iterator<Item = u64>, bits: u32) -> usize {
+        let mask = (1u64 << bits) - 1;
+        let mut seen = std::collections::BTreeSet::new();
+        for id in ids {
+            let mut key = [0u8; 16];
+            key[..8].copy_from_slice(&id.to_be_bytes());
+            let mut h = FxHasher::default();
+            h.write_usize(16);
+            h.write(&key);
+            seen.insert(h.finish() & mask);
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn small_ids_spread_over_the_low_bits() {
+        // Without the finalizer these 200k ids land in 32 buckets.
+        let distinct = low_bit_spread(0..200_000, 18);
+        assert!(
+            distinct >= 100_000,
+            "only {distinct} distinct low-18-bit hashes"
+        );
+    }
+
+    #[test]
+    fn high_bit_ids_spread_over_the_low_bits() {
+        // Without the finalizer these 1,024 ids land in 32 buckets.
+        let distinct = low_bit_spread((0..1024).map(|i| i << 20), 10);
+        assert!(
+            distinct >= 512,
+            "only {distinct} distinct low-10-bit hashes"
+        );
     }
 }

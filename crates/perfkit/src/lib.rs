@@ -7,10 +7,14 @@
 //!   `Key`/`TxnId` hot paths. The default SipHash `RandomState` both
 //!   burns cycles on a keyed cryptographic hash the simulator does not
 //!   need and randomizes iteration order per process; the fixed-seed
-//!   multiply-rotate hash is several times faster on short keys and
-//!   makes map iteration order reproducible across runs (no code may
-//!   *depend* on that order, but reproducibility turns any accidental
-//!   dependence into a deterministic bug instead of a flaky one).
+//!   multiply-rotate hash is cheaper per key and makes map iteration
+//!   order reproducible across runs (no code may *depend* on that order,
+//!   but reproducibility turns any accidental dependence into a
+//!   deterministic bug instead of a flaky one). Its `finish` ends in an
+//!   avalanche step: hashbrown indexes buckets by the low bits of the
+//!   hash, and FxHash's multiply only moves entropy upward, so without
+//!   it `Key::from(u64)` ids (big-endian, entropy in the high bits)
+//!   collapse into a few dozen buckets.
 //! - [`pool`]: a worker-pool runner for embarrassingly parallel
 //!   deterministic simulations (one sim per thread, ordered merge), with
 //!   the `--threads`/`PERF_THREADS` knob shared by every `repro_*`
