@@ -105,7 +105,7 @@ fn bench_zipf(c: &mut Criterion) {
 }
 
 fn bench_histogram(c: &mut Criterion) {
-    use simkit::metrics::Histogram;
+    use obskit::hist::Histogram;
     c.bench_function("histogram_record", |b| {
         b.iter_batched(
             Histogram::new,

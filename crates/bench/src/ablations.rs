@@ -16,12 +16,12 @@ use flashsim::dftl::{DemandMappedStore, DftlConfig};
 use flashsim::mftl::{MftlConfig, UnifiedStore};
 use flashsim::{value, BackendKind, Key, NandConfig};
 use milana::cluster::MilanaClusterConfig;
+use obskit::hist::Histogram;
 use obskit::Json;
 use retwis::driver::WorkloadConfig;
 use retwis::mix::Mix;
 use semel::cluster::{ClusterConfig, SemelCluster};
 use semel::server::ReplicationMode;
-use simkit::metrics::Histogram;
 use simkit::rng::Zipf;
 use simkit::Sim;
 use timesync::{ClientId, ClockSpec, Discipline, Timestamp, Version};

@@ -20,8 +20,8 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use flashsim::{value, Backend, BackendKind, Key, NandConfig, StoreError};
+use obskit::hist::Histogram;
 use obskit::Json;
-use simkit::metrics::Histogram;
 use simkit::Sim;
 use timesync::{ClientId, Discipline, SyncedClock, Timestamp, Version};
 

@@ -13,7 +13,8 @@ use std::time::Duration;
 use simkit::SimHandle;
 use timesync::{Timestamp, Version};
 
-use crate::types::{visible_at, Key, StoreError, StoreStats, Value, VersionedValue};
+use crate::mvstore::{Chain, VersionChain};
+use crate::types::{Key, StoreError, StoreStats, Value, VersionedValue};
 
 /// Tuning for a [`DramStore`].
 #[derive(Debug, Clone)]
@@ -35,12 +36,22 @@ impl Default for DramConfig {
 
 #[derive(Debug, Default)]
 struct DramInner {
-    /// Per-key version chains, youngest first.
-    map: FastMap<Key, Vec<(Version, Value)>>,
+    map: FastMap<Key, Chain<Value>>,
     watermark: Timestamp,
     stats: StoreStats,
     /// Durable write-floor record (battery-protected register).
     floor: Timestamp,
+}
+
+impl DramInner {
+    /// Installs a version in order and prunes the chain. A duplicate
+    /// version is a no-op, but still counts as a put.
+    fn apply(&mut self, key: Key, value: Value, version: Version) {
+        let chain = self.map.entry(key).or_default();
+        chain.insert_version(version, value);
+        self.stats.versions_pruned += chain.prune(self.watermark).len() as u64;
+        self.stats.puts += 1;
+    }
 }
 
 /// Multi-version in-memory store; cloning shares it.
@@ -74,17 +85,12 @@ impl DramStore {
     pub async fn put(&self, key: Key, value: Value, version: Version) -> Result<(), StoreError> {
         {
             let mut inner = self.inner.borrow_mut();
-            let chain = inner.map.entry(key.clone()).or_default();
-            if let Some(&(head, _)) = chain.first() {
+            if let Some(&(head, _)) = inner.map.get(&key).and_then(|c| c.latest()) {
                 if version <= head {
                     return Err(StoreError::StaleWrite(head));
                 }
             }
-            chain.insert(0, (version, value));
-            let watermark = inner.watermark;
-            let pruned = prune(inner.map.get_mut(&key).unwrap(), watermark);
-            inner.stats.versions_pruned += pruned;
-            inner.stats.puts += 1;
+            inner.apply(key, value, version);
         }
         self.handle.sleep(self.cfg.write_latency).await;
         Ok(())
@@ -92,21 +98,7 @@ impl DramStore {
 
     /// Applies a possibly out-of-order replicated write (idempotent).
     pub async fn apply_unordered(&self, key: Key, value: Value, version: Version) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            let chain = inner.map.entry(key.clone()).or_default();
-            if !chain.iter().any(|&(v, _)| v == version) {
-                let pos = chain
-                    .iter()
-                    .position(|&(v, _)| v < version)
-                    .unwrap_or(chain.len());
-                chain.insert(pos, (version, value));
-            }
-            let watermark = inner.watermark;
-            let pruned = prune(inner.map.get_mut(&key).unwrap(), watermark);
-            inner.stats.versions_pruned += pruned;
-            inner.stats.puts += 1;
-        }
+        self.inner.borrow_mut().apply(key, value, version);
         self.handle.sleep(self.cfg.write_latency).await;
     }
 
@@ -116,18 +108,7 @@ impl DramStore {
         {
             let mut inner = self.inner.borrow_mut();
             for (key, value, version) in items {
-                let chain = inner.map.entry(key.clone()).or_default();
-                if !chain.iter().any(|&(v, _)| v == version) {
-                    let pos = chain
-                        .iter()
-                        .position(|&(v, _)| v < version)
-                        .unwrap_or(chain.len());
-                    chain.insert(pos, (version, value));
-                }
-                let watermark = inner.watermark;
-                let pruned = prune(inner.map.get_mut(&key).unwrap(), watermark);
-                inner.stats.versions_pruned += pruned;
-                inner.stats.puts += 1;
+                inner.apply(key, value, version);
             }
         }
         self.handle.sleep(self.cfg.write_latency).await;
@@ -142,7 +123,7 @@ impl DramStore {
         let out = {
             let mut inner = self.inner.borrow_mut();
             let chain = inner.map.get(key).ok_or(StoreError::NotFound)?;
-            let (version, value) = visible_at(chain, at).ok_or(StoreError::NotFound)?;
+            let (version, value) = chain.visible_at(at).ok_or(StoreError::NotFound)?;
             let out = VersionedValue {
                 version: *version,
                 value: value.clone(),
@@ -229,22 +210,12 @@ impl DramStore {
     /// Zero-time bulk load.
     pub fn bulk_load(&self, key: Key, value: Value, version: Version) {
         let mut inner = self.inner.borrow_mut();
-        let chain = inner.map.entry(key).or_default();
-        let pos = chain
-            .iter()
-            .position(|&(v, _)| v < version)
-            .unwrap_or(chain.len());
-        chain.insert(pos, (version, value));
+        inner
+            .map
+            .entry(key)
+            .or_default()
+            .insert_version(version, value);
     }
-}
-
-fn prune(chain: &mut Vec<(Version, Value)>, watermark: Timestamp) -> u64 {
-    let Some(keep) = chain.iter().position(|&(v, _)| v.ts <= watermark) else {
-        return 0;
-    };
-    let n = chain.len() - (keep + 1);
-    chain.truncate(keep + 1);
-    n as u64
 }
 
 #[cfg(test)]

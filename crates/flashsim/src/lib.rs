@@ -9,12 +9,15 @@
 //!   read/program/erase timings;
 //! - [`pftl`] — a generic page-mapped log-structured FTL (the "standard
 //!   FTL" baseline);
-//! - [`mftl`] — **the paper's contribution**: a unified multi-version FTL
-//!   that maps keys directly to physical tuple locations, packs small
-//!   tuples into pages with a bounded delay, and garbage-collects flash and
-//!   versions in one pass;
-//! - [`vftl`] — the split baseline: a multi-version KV layer stacked on the
-//!   generic FTL (two mapping steps, two GCs, double over-provisioning);
+//! - [`mvstore`] — the multi-version core MFTL and VFTL share: per-key
+//!   version chains, a packer that fills pages with small tuples within a
+//!   bounded delay, watermark pruning, and GC relocation, over a
+//!   [`mvstore::Medium`] that decides where packed pages go;
+//! - [`mftl`] — **the paper's contribution**: the core over raw NAND, so
+//!   keys map directly to physical tuple locations and one pass
+//!   garbage-collects flash and versions together;
+//! - [`vftl`] — the split baseline: the core over LBAs of the generic FTL
+//!   (two mapping steps, two GCs, double over-provisioning);
 //! - [`sftl`] — a single-version baseline (no snapshot reads);
 //! - [`dram`] — a battery-backed-DRAM/NVM-speed multi-version store;
 //! - [`dftl`] — the §3.1 future-work extension: demand-paged mapping for
@@ -35,6 +38,7 @@ pub mod backend;
 pub mod dftl;
 pub mod dram;
 pub mod mftl;
+pub mod mvstore;
 pub mod nand;
 pub mod oob;
 pub mod pftl;

@@ -276,6 +276,11 @@ impl<P: Clone + 'static> NandDevice<P> {
         &self.cfg
     }
 
+    /// The simulation the device runs in.
+    pub fn handle(&self) -> &SimHandle {
+        &self.handle
+    }
+
     /// Takes the least-worn erased block out of the free pool for appending.
     pub fn alloc_block(&self) -> Option<u32> {
         let mut inner = self.inner.borrow_mut();

@@ -12,24 +12,30 @@
 //!   each level, so the same device holds less user data and collects more.
 //!
 //! Table 1's experiment measures exactly this overhead against MFTL.
+//!
+//! The KV layer's chains, packer and compactor are the shared core in
+//! [`crate::mvstore`]. This module owns only the medium, [`LbaMedium`]: a
+//! free list over the usable (post-over-provisioning) LBAs, segments
+//! written and read through the FTL, compaction victims reclaimed by an FTL
+//! trim plus a free-list push, and the two-level mount (the FTL rebuilds
+//! its LBA map, then the KV layer peeks each surviving segment).
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-
-use perfkit::FastMap;
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
-use simkit::sync::{mpsc, oneshot, Semaphore};
 use simkit::SimHandle;
-use timesync::{Timestamp, Version};
+use timesync::Timestamp;
 
-use crate::nand::NandConfig;
+use crate::backend::MountReport;
+use crate::mvstore::{Medium, MvStore, Page, Scanned, Tuning};
+use crate::nand::{NandConfig, NandDevice};
 use crate::pftl::{PageFtl, PageFtlConfig};
-use crate::types::{Key, StoreError, StoreStats, TupleRecord, Value, VersionedValue};
+use crate::types::StoreError;
 
 /// One logical segment's payload: packed tuples (a 4 KB page worth).
-pub type Segment = Rc<Vec<TupleRecord>>;
+pub type Segment = Page;
 
 /// Tuning for a [`SplitStore`].
 #[derive(Debug, Clone)]
@@ -60,88 +66,8 @@ impl Default for VftlConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    Buffered { gen: u64, idx: usize },
-    Seg { lba: u32, slot: u16 },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct MapEntry {
-    version: Version,
-    loc: Loc,
-}
-
-#[derive(Debug, Clone)]
-enum Origin {
-    Fresh,
-    Reloc { old_lba: u32, old_slot: u16 },
-}
-
-#[derive(Debug)]
-struct Pending {
-    rec: TupleRecord,
-    origin: Origin,
-}
-
-struct Batch {
-    gen: u64,
-    pendings: Vec<Pending>,
-    waiters: Vec<oneshot::Sender<Result<(), StoreError>>>,
-    seg: Segment,
-}
-
-/// One packing stream (see the MFTL twin): the KV layer keeps several open
-/// segment buffers so puts spread over parallel append streams, matching
-/// how the unified FTL packs per channel.
-#[derive(Debug)]
-struct Stream {
-    open: Vec<Pending>,
-    open_bytes: usize,
-    gen: u64,
-    waiters: Vec<oneshot::Sender<Result<(), StoreError>>>,
-}
-
-struct VftlInner {
-    map: FastMap<Key, Vec<MapEntry>>,
-    streams: Vec<Stream>,
-    next_stream: usize,
-    next_gen: u64,
-    flushing: FastMap<u64, Segment>,
-    free_lbas: Vec<u32>,
-    /// Deterministically ordered so GC victim ties never depend on hash
-    /// iteration order.
-    live: BTreeMap<u32, u32>,
-    written: BTreeMap<u32, u32>,
-    watermark: Timestamp,
-    stats: StoreStats,
-    gc_nudge: mpsc::Sender<()>,
-    load_buf: Vec<TupleRecord>,
-    load_bytes: usize,
-    /// Mount epoch; bumped by power-fail and mount so surviving flush / GC
-    /// tasks cannot corrupt the rebuilt KV state.
-    epoch: u64,
-}
-
 /// The split (VFTL) multi-version store. Cloning shares the store.
-#[derive(Clone)]
-pub struct SplitStore {
-    handle: SimHandle,
-    ftl: PageFtl<Segment>,
-    cfg: Rc<VftlConfig>,
-    inner: Rc<RefCell<VftlInner>>,
-    gc_lock: Semaphore,
-}
-
-impl std::fmt::Debug for SplitStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("SplitStore")
-            .field("keys", &inner.map.len())
-            .field("free_segments", &inner.free_lbas.len())
-            .finish()
-    }
-}
+pub type SplitStore = MvStore<LbaMedium>;
 
 impl SplitStore {
     /// Creates a VFTL store: a KV layer over a fresh generic FTL, with GC
@@ -149,7 +75,7 @@ impl SplitStore {
     pub fn new(handle: SimHandle, nand: NandConfig, cfg: VftlConfig) -> SplitStore {
         let blocks = nand.blocks as usize;
         let ftl = PageFtl::new(
-            handle.clone(),
+            handle,
             nand,
             PageFtlConfig {
                 gc_low_water: (blocks / 16).max(3),
@@ -158,824 +84,149 @@ impl SplitStore {
             },
         );
         let usable = ((ftl.logical_pages() as f64) * (1.0 - cfg.top_overprovision)).floor() as u32;
-        let n_streams = (ftl.device().config().channels as usize).min((blocks / 8).max(1));
-        let streams = (0..n_streams)
-            .map(|i| Stream {
-                open: Vec::new(),
-                open_bytes: 0,
-                gen: i as u64,
-                waiters: Vec::new(),
-            })
-            .collect::<Vec<_>>();
-        let (tx, rx) = mpsc::channel();
-        let store = SplitStore {
-            handle: handle.clone(),
+        let medium = LbaMedium {
             ftl,
-            cfg: Rc::new(cfg),
-            inner: Rc::new(RefCell::new(VftlInner {
-                map: FastMap::default(),
-                next_gen: n_streams as u64,
-                next_stream: 0,
-                streams,
-                flushing: FastMap::default(),
-                free_lbas: (0..usable).rev().collect(),
-                live: BTreeMap::new(),
-                written: BTreeMap::new(),
-                watermark: Timestamp::ZERO,
-                stats: StoreStats::default(),
-                gc_nudge: tx,
-                load_buf: Vec::new(),
-                load_bytes: 0,
-                epoch: 0,
+            lbas: Rc::new(RefCell::new(Lbas {
+                gc_reserve: cfg.gc_reserve,
+                usable,
+                free: (0..usable).rev().collect(),
             })),
-            gc_lock: Semaphore::new(1),
         };
-        let gc = store.clone();
-        handle.spawn(async move {
-            while rx.recv().await.is_some() {
-                while gc.inner.borrow().free_lbas.len() <= gc.cfg.gc_low_water {
-                    if !gc.collect_once().await {
-                        break;
-                    }
-                }
-            }
-        });
-        store
+        let tuning = Tuning {
+            op_overhead: cfg.op_overhead,
+            packing_window: cfg.packing_window,
+            gc_low_water: cfg.gc_low_water,
+        };
+        MvStore::with_medium(medium, tuning)
     }
 
     /// The FTL underneath (for stats: its GC traffic is the split's cost).
     pub fn ftl(&self) -> &PageFtl<Segment> {
-        &self.ftl
+        &self.medium().ftl
+    }
+}
+
+/// VFTL's medium: packed segments go to LBAs of a page-mapped FTL.
+#[derive(Clone)]
+pub struct LbaMedium {
+    ftl: PageFtl<Segment>,
+    lbas: Rc<RefCell<Lbas>>,
+}
+
+struct Lbas {
+    /// Segments reserved for KV-layer GC relocation.
+    gc_reserve: usize,
+    /// LBAs the KV layer may use: the FTL's logical space minus the KV
+    /// layer's own over-provisioning.
+    usable: u32,
+    /// Free LBAs, popped from the back.
+    free: Vec<u32>,
+}
+
+impl Medium for LbaMedium {
+    type Addr = u32;
+
+    fn device(&self) -> &NandDevice<Page> {
+        self.ftl.device()
     }
 
-    /// Store-level counters (KV-layer GC only; add [`SplitStore::ftl`] stats
-    /// for the bottom level).
-    pub fn stats(&self) -> StoreStats {
-        let mut s = self.inner.borrow().stats;
-        let d = self.ftl.device().stats();
-        s.pages_written = d.page_writes;
-        s.pages_read = d.page_reads;
-        s
+    fn unit(lba: u32) -> usize {
+        lba as usize
     }
 
-    /// Attaches a trace sink to the underlying device (flash-op and GC
-    /// events stamped with `node`).
-    pub fn attach_tracer(&self, tracer: &obskit::Tracer, node: u64) {
-        self.ftl.device().attach_tracer(tracer, node);
+    fn units(&self) -> usize {
+        self.lbas.borrow().usable as usize
     }
 
-    /// Injects media faults into the underlying device (fault campaigns).
-    pub fn inject_media_faults(&self, cfg: crate::nand::MediaFaultConfig) {
-        self.ftl.device().inject_media_faults(cfg);
+    fn free_units(&self) -> usize {
+        self.lbas.borrow().free.len()
     }
 
-    /// Writes a new version of `key` (see [`crate::mftl::UnifiedStore::put`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::StaleWrite`] or [`StoreError::CapacityExhausted`].
-    pub async fn put(&self, key: Key, value: Value, version: Version) -> Result<(), StoreError> {
-        self.handle.sleep(self.cfg.op_overhead).await;
-        {
-            let inner = self.inner.borrow();
-            if let Some(head) = inner.map.get(&key).and_then(|c| c.first()) {
-                if version <= head.version {
-                    return Err(StoreError::StaleWrite(head.version));
-                }
-            }
-        }
-        self.insert_and_wait(key, value, version, true).await
-    }
-
-    /// Out-of-order replicated write (idempotent), as in
-    /// [`crate::mftl::UnifiedStore::apply_unordered`].
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::CapacityExhausted`] if the store is full of live data.
-    pub async fn apply_unordered(
-        &self,
-        key: Key,
-        value: Value,
-        version: Version,
-    ) -> Result<(), StoreError> {
-        {
-            let inner = self.inner.borrow();
-            if let Some(chain) = inner.map.get(&key) {
-                if chain.iter().any(|e| e.version == version) {
-                    return Ok(());
-                }
-            }
-        }
-        self.insert_and_wait(key, value, version, false).await
-    }
-
-    /// Applies a batch of unordered writes with atomic visibility (see
-    /// [`crate::mftl::UnifiedStore::apply_batch_unordered`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::CapacityExhausted`] if the store fills.
-    pub async fn apply_batch_unordered(
-        &self,
-        items: Vec<(Key, Value, Version)>,
-    ) -> Result<(), StoreError> {
-        let mut waiters = Vec::new();
-        let mut batches = Vec::new();
-        for (key, value, version) in items {
-            {
-                let inner = self.inner.borrow();
-                if let Some(chain) = inner.map.get(&key) {
-                    if chain.iter().any(|e| e.version == version) {
-                        continue; // duplicate
-                    }
-                }
-            }
-            let rec = TupleRecord {
-                key: key.clone(),
-                version,
-                value,
-            };
-            let (gen, idx, rx, to_flush) = self.enqueue(rec, Origin::Fresh);
-            let mut inner = self.inner.borrow_mut();
-            let chain = inner.map.entry(key.clone()).or_default();
-            let pos = chain
-                .iter()
-                .position(|e| e.version < version)
-                .unwrap_or(chain.len());
-            chain.insert(
-                pos,
-                MapEntry {
-                    version,
-                    loc: Loc::Buffered { gen, idx },
-                },
-            );
-            let watermark = inner.watermark;
-            let (freed, pruned) = prune_chain(inner.map.get_mut(&key).unwrap(), watermark);
-            for lba in freed {
-                *inner.live.get_mut(&lba).expect("live count") -= 1;
-            }
-            inner.stats.versions_pruned += pruned;
-            inner.stats.puts += 1;
-            drop(inner);
-            waiters.push(rx);
-            if let Some(b) = to_flush {
-                batches.push(b);
-            }
-        }
-        for b in batches {
-            let me = self.clone();
-            self.handle.spawn(async move { me.flush(b).await });
-        }
-        for rx in waiters {
-            rx.await.unwrap_or(Err(StoreError::CapacityExhausted))?;
-        }
-        Ok(())
-    }
-
-    async fn insert_and_wait(
-        &self,
-        key: Key,
-        value: Value,
-        version: Version,
-        expect_head: bool,
-    ) -> Result<(), StoreError> {
-        let rec = TupleRecord {
-            key: key.clone(),
-            version,
-            value,
-        };
-        let (gen, idx, rx, to_flush) = self.enqueue(rec, Origin::Fresh);
-        {
-            let mut inner = self.inner.borrow_mut();
-            let chain = inner.map.entry(key.clone()).or_default();
-            let entry = MapEntry {
-                version,
-                loc: Loc::Buffered { gen, idx },
-            };
-            if expect_head {
-                chain.insert(0, entry);
-            } else {
-                let pos = chain
-                    .iter()
-                    .position(|e| e.version < version)
-                    .unwrap_or(chain.len());
-                chain.insert(pos, entry);
-            }
-            let watermark = inner.watermark;
-            let (freed, pruned) = prune_chain(inner.map.get_mut(&key).unwrap(), watermark);
-            for lba in freed {
-                *inner.live.get_mut(&lba).expect("live count") -= 1;
-            }
-            inner.stats.versions_pruned += pruned;
-            inner.stats.puts += 1;
-        }
-        if let Some(batch) = to_flush {
-            let me = self.clone();
-            self.handle.spawn(async move { me.flush(batch).await });
-        }
-        rx.await.unwrap_or(Err(StoreError::CapacityExhausted))
-    }
-
-    fn enqueue(
-        &self,
-        rec: TupleRecord,
-        origin: Origin,
-    ) -> (
-        u64,
-        usize,
-        oneshot::Receiver<Result<(), StoreError>>,
-        Option<Batch>,
-    ) {
-        let page_size = self.ftl.device().config().page_size;
-        let mut inner = self.inner.borrow_mut();
-        let len = rec.accounted_len();
-        let s = inner.next_stream;
-        inner.next_stream = (s + 1) % inner.streams.len();
-        let mut to_flush = None;
-        if !inner.streams[s].open.is_empty() && inner.streams[s].open_bytes + len > page_size {
-            to_flush = Some(take_open(&mut inner, s));
-        }
-        let gen = inner.streams[s].gen;
-        let idx = inner.streams[s].open.len();
-        let first = idx == 0;
-        inner.streams[s].open.push(Pending { rec, origin });
-        inner.streams[s].open_bytes += len;
-        let (tx, rx) = oneshot::channel();
-        inner.streams[s].waiters.push(tx);
-        let full = inner.streams[s].open_bytes + crate::types::TUPLE_HEADER + 16 > page_size;
-        if full && to_flush.is_none() {
-            to_flush = Some(take_open(&mut inner, s));
-        } else if full {
-            let second = take_open(&mut inner, s);
-            let me = self.clone();
-            self.handle.spawn(async move { me.flush(second).await });
-        } else if first {
-            let me = self.clone();
-            let deadline = self.handle.now() + self.cfg.packing_window;
-            self.handle.spawn(async move {
-                me.handle.sleep_until(deadline).await;
-                let batch = {
-                    let mut inner = me.inner.borrow_mut();
-                    if inner.streams[s].gen == gen && !inner.streams[s].open.is_empty() {
-                        Some(take_open(&mut inner, s))
-                    } else {
-                        None
-                    }
-                };
-                if let Some(b) = batch {
-                    me.flush(b).await;
-                }
-            });
-        }
-        (gen, idx, rx, to_flush)
-    }
-
-    fn alloc_lba(&self, for_gc: bool) -> Option<u32> {
-        let mut inner = self.inner.borrow_mut();
-        let reserve = if for_gc { 0 } else { self.cfg.gc_reserve };
-        if inner.free_lbas.len() <= reserve {
+    fn alloc(&self, _stream: usize, for_gc: bool) -> Option<u32> {
+        let mut lbas = self.lbas.borrow_mut();
+        let reserve = if for_gc { 0 } else { lbas.gc_reserve };
+        if lbas.free.len() <= reserve {
             return None;
         }
-        inner.free_lbas.pop()
+        lbas.free.pop()
     }
 
-    async fn flush(&self, batch: Batch) {
-        let epoch = self.inner.borrow().epoch;
-        let has_reloc = batch
-            .pendings
-            .iter()
-            .any(|p| matches!(p.origin, Origin::Reloc { .. }));
-        let lba = loop {
-            if let Some(l) = self.alloc_lba(has_reloc) {
-                break l;
-            }
-            // See the MFTL note: reloc-carrying batches never wait on the
-            // GC lock; fail fast and let the collection abort safely.
-            if has_reloc {
-                self.fail_batch(batch);
-                return;
-            }
-            if !self.collect_once().await {
-                self.fail_batch(batch);
-                return;
-            }
-        };
-        if let Err(e) = self.ftl.write(lba, batch.seg.clone()).await {
-            debug_assert_eq!(e, StoreError::CapacityExhausted);
-            // A power failure reset the store mid-write: drop the batch
-            // without touching the rebuilt free list.
-            if self.inner.borrow().epoch != epoch {
-                for w in batch.waiters {
-                    let _ = w.send(Err(StoreError::CapacityExhausted));
-                }
-                return;
-            }
-            // Bottom FTL out of space: return the LBA and fail the batch.
-            self.inner.borrow_mut().free_lbas.push(lba);
-            self.fail_batch(batch);
-            return;
-        }
-        if self.inner.borrow().epoch != epoch {
-            // Power failure while the segment program was in flight but the
-            // program itself survived: the mount scan already accounted for
-            // (or discarded) it; skip the volatile bookkeeping.
-            for w in batch.waiters {
-                let _ = w.send(Err(StoreError::CapacityExhausted));
-            }
-            return;
-        }
-        {
-            let mut inner = self.inner.borrow_mut();
-            *inner.written.entry(lba).or_insert(0) += batch.seg.len() as u32;
-            inner.live.entry(lba).or_insert(0);
-            for (slot, p) in batch.pendings.iter().enumerate() {
-                let Some(chain) = inner.map.get_mut(&p.rec.key) else {
-                    continue;
-                };
-                let Some(e) = chain.iter_mut().find(|e| e.version == p.rec.version) else {
-                    continue;
-                };
-                match p.origin {
-                    Origin::Fresh => {
-                        if e.loc
-                            == (Loc::Buffered {
-                                gen: batch.gen,
-                                idx: slot,
-                            })
-                        {
-                            e.loc = Loc::Seg {
-                                lba,
-                                slot: slot as u16,
-                            };
-                            *inner.live.get_mut(&lba).unwrap() += 1;
-                        }
-                    }
-                    Origin::Reloc { old_lba, old_slot } => {
-                        if e.loc
-                            == (Loc::Seg {
-                                lba: old_lba,
-                                slot: old_slot,
-                            })
-                        {
-                            e.loc = Loc::Seg {
-                                lba,
-                                slot: slot as u16,
-                            };
-                            *inner.live.get_mut(&old_lba).expect("old live") -= 1;
-                            *inner.live.get_mut(&lba).unwrap() += 1;
-                            inner.stats.gc_relocated += 1;
-                        }
-                    }
-                }
-            }
-            inner.flushing.remove(&batch.gen);
-        }
-        for w in batch.waiters {
-            let _ = w.send(Ok(()));
-        }
-        let low = {
-            let inner = self.inner.borrow();
-            inner.free_lbas.len() <= self.cfg.gc_low_water
-        };
-        if low {
-            let _ = self.inner.borrow().gc_nudge.send(());
-        }
+    fn unalloc(&self, lba: u32) {
+        self.lbas.borrow_mut().free.push(lba);
     }
 
-    fn fail_batch(&self, batch: Batch) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            for (slot, p) in batch.pendings.iter().enumerate() {
-                if matches!(p.origin, Origin::Fresh) {
-                    if let Some(chain) = inner.map.get_mut(&p.rec.key) {
-                        chain.retain(|e| {
-                            !(e.version == p.rec.version
-                                && e.loc
-                                    == Loc::Buffered {
-                                        gen: batch.gen,
-                                        idx: slot,
-                                    })
-                        });
-                    }
-                }
-            }
-            inner.flushing.remove(&batch.gen);
-        }
-        for w in batch.waiters {
-            let _ = w.send(Err(StoreError::CapacityExhausted));
-        }
-    }
-
-    /// Snapshot read (see [`crate::mftl::UnifiedStore::get_at`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] if no version is visible at `at`.
-    pub async fn get_at(&self, key: &Key, at: Timestamp) -> Result<VersionedValue, StoreError> {
-        self.get_where(key, |e| e.version.ts <= at).await
-    }
-
-    /// Reads the latest version of `key`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] if the key does not exist.
-    pub async fn get_latest(&self, key: &Key) -> Result<VersionedValue, StoreError> {
-        self.get_where(key, |_| true).await
-    }
-
-    async fn get_where(
+    /// Writes the segment through the FTL, which stamps its own OOB.
+    fn program(
         &self,
-        key: &Key,
-        pred: impl Fn(&MapEntry) -> bool,
-    ) -> Result<VersionedValue, StoreError> {
-        self.handle.sleep(self.cfg.op_overhead).await;
-        for _ in 0..8 {
-            let target = {
-                let mut inner = self.inner.borrow_mut();
-                let Some(chain) = inner.map.get(key) else {
-                    return Err(StoreError::NotFound);
-                };
-                let Some(e) = chain.iter().find(|e| pred(e)) else {
-                    return Err(StoreError::NotFound);
-                };
-                let e = *e;
-                match e.loc {
-                    Loc::Buffered { gen, idx } => {
-                        let rec = match inner.streams.iter().find(|st| st.gen == gen) {
-                            Some(st) => st.open.get(idx).map(|p| p.rec.clone()),
-                            None => inner.flushing.get(&gen).and_then(|pg| pg.get(idx).cloned()),
-                        };
-                        match rec {
-                            Some(rec) => {
-                                inner.stats.gets += 1;
-                                return Ok(VersionedValue {
-                                    version: e.version,
-                                    value: rec.value,
-                                });
-                            }
-                            None => continue,
-                        }
-                    }
-                    Loc::Seg { lba, slot } => Some((e.version, lba, slot)),
-                }
-            };
-            let Some((version, lba, slot)) = target else {
-                continue;
-            };
-            match self.ftl.read(lba).await {
-                Ok(seg) => match seg.get(slot as usize) {
-                    Some(rec) if rec.key == *key && rec.version == version => {
-                        self.inner.borrow_mut().stats.gets += 1;
-                        return Ok(VersionedValue {
-                            version,
-                            value: rec.value.clone(),
-                        });
-                    }
-                    _ => continue,
-                },
-                Err(_) => continue,
-            }
-        }
-        unreachable!("key {key} kept moving during read; GC livelock")
+        lba: u32,
+        seg: Segment,
+        _epoch: u64,
+    ) -> impl Future<Output = Result<(), StoreError>> {
+        self.ftl.write(lba, seg)
     }
 
-    /// Removes all versions of `key`.
-    pub fn delete(&self, key: &Key) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(chain) = inner.map.remove(key) {
-            for e in chain {
-                if let Loc::Seg { lba, .. } = e.loc {
-                    *inner.live.get_mut(&lba).expect("live count") -= 1;
-                }
-            }
-        }
+    async fn read(&self, lba: u32) -> Option<Segment> {
+        self.ftl.read(lba).await.ok()
     }
 
-    /// Raises the GC watermark (never moves backwards).
-    pub fn set_watermark(&self, ts: Timestamp) {
-        let mut inner = self.inner.borrow_mut();
-        if ts > inner.watermark {
-            inner.watermark = ts;
-        }
+    fn install(&self, seg: Segment, _epoch: u64) -> u32 {
+        let lba = self.alloc(0, false).expect("store full during bulk load");
+        self.ftl.install(lba, seg);
+        lba
     }
 
-    /// All mapped versions of `key`, youngest first.
-    pub fn versions(&self, key: &Key) -> Vec<Version> {
-        self.inner
-            .borrow()
-            .map
-            .get(key)
-            .map(|c| c.iter().map(|e| e.version).collect())
-            .unwrap_or_default()
+    async fn read_victim(&self, lba: usize) -> Option<Vec<(u32, Segment)>> {
+        let lba = lba as u32;
+        let seg = self.ftl.read(lba).await.ok()?;
+        Some(vec![(lba, seg)])
     }
 
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.inner.borrow().map.len()
+    /// Trims the segment in the FTL (its page becomes the bottom GC's
+    /// garbage) and frees the LBA.
+    async fn reclaim(&self, lba: usize) {
+        self.ftl.trim(lba as u32);
+        self.lbas.borrow_mut().free.push(lba as u32);
     }
 
-    /// All distinct keys, sorted by byte order (deterministic iteration
-    /// for bulk copy / migration sweeps).
-    pub fn keys(&self) -> Vec<Key> {
-        let mut ks: Vec<Key> = self.inner.borrow().map.keys().cloned().collect();
-        ks.sort();
-        ks
-    }
-
-    /// Records the durable write floor (stamped into subsequent segment
-    /// programs by the bottom FTL).
-    pub fn note_floor(&self, ts: Timestamp) {
+    fn note_floor(&self, ts: Timestamp) {
         self.ftl.note_floor(ts);
     }
 
-    /// Injects a power failure: tears in-flight segment programs and drops
-    /// both mapping levels' volatile state. Returns the number of torn
-    /// pages.
-    pub fn power_fail(&self) -> u64 {
+    fn power_fail(&self) -> u64 {
         let torn = self.ftl.power_fail();
-        let mut inner = self.inner.borrow_mut();
-        inner.epoch += 1;
-        reset_volatile(&mut inner);
+        self.lbas.borrow_mut().free.clear();
         torn
     }
 
-    /// Two-level mount: the bottom FTL rebuilds its LBA map from OOB, then
-    /// the KV layer rebuilds chains by peeking each surviving segment.
-    /// Duplicate `(key, version)` copies (a GC relocation interrupted
-    /// between program and trim) keep the lowest-LBA copy; the rest stay
-    /// unreferenced garbage for the next compaction.
-    pub async fn mount(&self) -> crate::backend::MountReport {
-        let _gc = self.gc_lock.acquire().await;
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.epoch += 1;
-            reset_volatile(&mut inner);
-        }
-        let mut report = self.ftl.mount().await;
-        let usable =
-            ((self.ftl.logical_pages() as f64) * (1.0 - self.cfg.top_overprovision)).floor() as u32;
+    /// The FTL rebuilds its LBA map from OOB; every mapped segment is then
+    /// peeked (the scan already charged its read time) and every unmapped
+    /// usable LBA is free again.
+    async fn mount(&self) -> (MountReport, Vec<Scanned<u32>>) {
+        self.lbas.borrow_mut().free.clear();
+        let report = self.ftl.mount().await;
         let mapped = self.ftl.mapped_lbas();
-        let mut inner = self.inner.borrow_mut();
-        for &lba in &mapped {
-            let Some(seg) = self.ftl.peek_lba(lba) else {
-                continue;
-            };
-            *inner.written.entry(lba).or_insert(0) += seg.len() as u32;
-            inner.live.entry(lba).or_insert(0);
-            for (slot, rec) in seg.iter().enumerate() {
-                let chain = inner.map.entry(rec.key.clone()).or_default();
-                if chain.iter().any(|e| e.version == rec.version) {
-                    continue;
-                }
-                let pos = chain
-                    .iter()
-                    .position(|e| e.version < rec.version)
-                    .unwrap_or(chain.len());
-                chain.insert(
-                    pos,
-                    MapEntry {
-                        version: rec.version,
-                        loc: Loc::Seg {
-                            lba,
-                            slot: slot as u16,
-                        },
-                    },
-                );
-                *inner.live.get_mut(&lba).unwrap() += 1;
-            }
-        }
-        let used: std::collections::HashSet<u32> = mapped.into_iter().collect();
-        inner.free_lbas = (0..usable).rev().filter(|l| !used.contains(l)).collect();
-        report.keys = inner.map.len() as u64;
-        report
+        let segs = mapped
+            .iter()
+            .filter_map(|&lba| {
+                let seg = self.ftl.peek_lba(lba)?;
+                Some((lba, seg.len() as u32, Some(seg)))
+            })
+            .collect();
+        let mut lbas = self.lbas.borrow_mut();
+        lbas.free = (0..lbas.usable)
+            .rev()
+            .filter(|lba| mapped.binary_search(lba).is_err())
+            .collect();
+        (report, segs)
     }
-
-    /// Zero-time bulk load; call [`SplitStore::finish_load`] afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store fills during the load.
-    pub fn bulk_load(&self, key: Key, value: Value, version: Version) {
-        let rec = TupleRecord {
-            key,
-            version,
-            value,
-        };
-        let page_size = self.ftl.device().config().page_size;
-        let mut inner = self.inner.borrow_mut();
-        if !inner.load_buf.is_empty() && inner.load_bytes + rec.accounted_len() > page_size {
-            drop(inner);
-            self.install_load_seg();
-            inner = self.inner.borrow_mut();
-        }
-        inner.load_bytes += rec.accounted_len();
-        inner.load_buf.push(rec);
-    }
-
-    /// Flushes the bulk-load packer.
-    pub fn finish_load(&self) {
-        if !self.inner.borrow().load_buf.is_empty() {
-            self.install_load_seg();
-        }
-    }
-
-    fn install_load_seg(&self) {
-        let recs = {
-            let mut inner = self.inner.borrow_mut();
-            inner.load_bytes = 0;
-            std::mem::take(&mut inner.load_buf)
-        };
-        let lba = self.alloc_lba(false).expect("store full during bulk load");
-        self.ftl.install(lba, Rc::new(recs.clone()));
-        let mut inner = self.inner.borrow_mut();
-        *inner.written.entry(lba).or_insert(0) += recs.len() as u32;
-        let n = recs.len() as u32;
-        *inner.live.entry(lba).or_insert(0) += n;
-        for (slot, rec) in recs.into_iter().enumerate() {
-            let entry = MapEntry {
-                version: rec.version,
-                loc: Loc::Seg {
-                    lba,
-                    slot: slot as u16,
-                },
-            };
-            let chain = inner.map.entry(rec.key).or_default();
-            let pos = chain
-                .iter()
-                .position(|e| e.version < entry.version)
-                .unwrap_or(chain.len());
-            chain.insert(pos, entry);
-        }
-    }
-
-    /// One KV-layer GC pass: compact the segment with the most dead tuples.
-    async fn collect_once(&self) -> bool {
-        let _gc = self.gc_lock.acquire().await;
-        let epoch = self.inner.borrow().epoch;
-        let victim = {
-            let inner = self.inner.borrow();
-            inner
-                .written
-                .iter()
-                .filter(|&(lba, &w)| w > inner.live.get(lba).copied().unwrap_or(0))
-                .max_by_key(|&(lba, &w)| w - inner.live.get(lba).copied().unwrap_or(0))
-                .map(|(&lba, _)| lba)
-        };
-        let Some(victim) = victim else { return false };
-        let Ok(seg) = self.ftl.read(victim).await else {
-            // Unmapped (race with another collection); drop the bookkeeping.
-            let mut inner = self.inner.borrow_mut();
-            inner.written.remove(&victim);
-            inner.live.remove(&victim);
-            return false;
-        };
-        let mut waiters = Vec::new();
-        let mut flush_batches = Vec::new();
-        for (slot, rec) in seg.iter().enumerate() {
-            let live = {
-                let mut inner = self.inner.borrow_mut();
-                let watermark = inner.watermark;
-                if let Some(chain) = inner.map.get_mut(&rec.key) {
-                    let (freed, pruned) = prune_chain(chain, watermark);
-                    for lba in freed {
-                        *inner.live.get_mut(&lba).expect("live count") -= 1;
-                    }
-                    inner.stats.versions_pruned += pruned;
-                }
-                inner.map.get(&rec.key).is_some_and(|chain| {
-                    chain.iter().any(|e| {
-                        e.version == rec.version
-                            && e.loc
-                                == Loc::Seg {
-                                    lba: victim,
-                                    slot: slot as u16,
-                                }
-                    })
-                })
-            };
-            if live {
-                let (_g, _i, rx, to_flush) = self.enqueue(
-                    rec.clone(),
-                    Origin::Reloc {
-                        old_lba: victim,
-                        old_slot: slot as u16,
-                    },
-                );
-                waiters.push(rx);
-                if let Some(b) = to_flush {
-                    flush_batches.push(b);
-                }
-            }
-        }
-        {
-            let mut inner = self.inner.borrow_mut();
-            for s in 0..inner.streams.len() {
-                let has_reloc = inner.streams[s]
-                    .open
-                    .iter()
-                    .any(|p| matches!(p.origin, Origin::Reloc { .. }));
-                if has_reloc {
-                    let b = take_open(&mut inner, s);
-                    flush_batches.push(b);
-                }
-            }
-        }
-        for b in flush_batches {
-            // Boxed to break the flush -> collect_once -> flush async cycle.
-            Box::pin(self.flush(b)).await;
-        }
-        let relocated = waiters.len() as u64;
-        for rx in waiters {
-            match rx.await {
-                Ok(Ok(())) => {}
-                _ => return false,
-            }
-        }
-        // A power failure interrupted this pass; the rebuilt state already
-        // re-mapped the victim's records, so leave it alone.
-        if self.inner.borrow().epoch != epoch {
-            return false;
-        }
-        self.ftl.trim(victim);
-        let reclaimed = {
-            let mut inner = self.inner.borrow_mut();
-            debug_assert_eq!(inner.live.get(&victim).copied().unwrap_or(0), 0);
-            inner.live.remove(&victim);
-            let written = inner.written.remove(&victim).unwrap_or(0) as u64;
-            inner.free_lbas.push(victim);
-            inner.stats.gc_collections += 1;
-            written.saturating_sub(relocated)
-        };
-        self.ftl.device().trace_gc(reclaimed);
-        true
-    }
-}
-
-/// Drops RAM-resident KV state the way a power failure would. `next_gen`
-/// stays monotone so stale batches can never alias a rebuilt stream, and
-/// dropped waiters resolve their callers to an error.
-fn reset_volatile(inner: &mut VftlInner) {
-    inner.map.clear();
-    for s in 0..inner.streams.len() {
-        let gen = inner.next_gen;
-        inner.next_gen += 1;
-        inner.streams[s] = Stream {
-            open: Vec::new(),
-            open_bytes: 0,
-            gen,
-            waiters: Vec::new(),
-        };
-    }
-    inner.next_stream = 0;
-    inner.flushing.clear();
-    inner.free_lbas.clear();
-    inner.live.clear();
-    inner.written.clear();
-    inner.watermark = Timestamp::ZERO;
-    inner.load_buf.clear();
-    inner.load_bytes = 0;
-}
-
-fn take_open(inner: &mut VftlInner, s: usize) -> Batch {
-    let gen = inner.streams[s].gen;
-    inner.streams[s].gen = inner.next_gen;
-    inner.next_gen += 1;
-    let pendings = std::mem::take(&mut inner.streams[s].open);
-    let waiters = std::mem::take(&mut inner.streams[s].waiters);
-    inner.streams[s].open_bytes = 0;
-    let seg: Segment = Rc::new(pendings.iter().map(|p| p.rec.clone()).collect());
-    inner.flushing.insert(gen, seg.clone());
-    Batch {
-        gen,
-        pendings,
-        waiters,
-        seg,
-    }
-}
-
-fn prune_chain(chain: &mut Vec<MapEntry>, watermark: Timestamp) -> (Vec<u32>, u64) {
-    let Some(keep) = chain.iter().position(|e| e.version.ts <= watermark) else {
-        return (Vec::new(), 0);
-    };
-    let mut freed = Vec::new();
-    let mut pruned = 0;
-    for e in chain.drain(keep + 1..) {
-        if let Loc::Seg { lba, .. } = e.loc {
-            freed.push(lba);
-        }
-        pruned += 1;
-    }
-    (freed, pruned)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::value;
+    use crate::types::{value, Key, Value};
     use simkit::Sim;
-    use timesync::ClientId;
+    use timesync::{ClientId, Version};
 
     fn v(ts: u64) -> Version {
         Version::new(Timestamp(ts), ClientId(0))
@@ -997,31 +248,6 @@ mod tests {
 
     fn store(sim: &Sim, blocks: u32) -> SplitStore {
         SplitStore::new(sim.handle(), nand(blocks), VftlConfig::default())
-    }
-
-    #[test]
-    fn put_get_round_trip() {
-        let mut sim = Sim::new(1);
-        let s = store(&sim, 32);
-        sim.block_on(async move {
-            s.put(Key::from(1u64), val(100), v(10)).await.unwrap();
-            let got = s.get_at(&Key::from(1u64), Timestamp(10)).await.unwrap();
-            assert_eq!(got.version, v(10));
-        });
-    }
-
-    #[test]
-    fn snapshot_reads_see_old_versions() {
-        let mut sim = Sim::new(1);
-        let s = store(&sim, 32);
-        sim.block_on(async move {
-            let k = Key::from(1u64);
-            for ts in [10, 20, 30] {
-                s.put(k.clone(), val(ts as usize), v(ts)).await.unwrap();
-            }
-            assert_eq!(s.get_at(&k, Timestamp(25)).await.unwrap().version, v(20));
-            assert_eq!(s.get_at(&k, Timestamp(10)).await.unwrap().version, v(10));
-        });
     }
 
     #[test]
@@ -1092,96 +318,6 @@ mod tests {
             assert!(s.stats().gc_collections > 0);
             // ...and the bottom FTL erased blocks too.
             assert!(s.ftl().device().stats().block_erases > 0);
-        });
-    }
-
-    #[test]
-    fn capacity_exhausted_when_everything_live() {
-        let mut sim = Sim::new(1);
-        let s = store(&sim, 6); // tiny: 24 pages
-        sim.block_on(async move {
-            let mut err = None;
-            for i in 0..400u64 {
-                if let Err(e) = s.put(Key::from(i), val(472), v(i + 1)).await {
-                    err = Some(e);
-                    break;
-                }
-            }
-            assert_eq!(err, Some(StoreError::CapacityExhausted));
-        });
-    }
-
-    #[test]
-    fn bulk_load_visible_and_instant() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let s = store(&sim, 64);
-        for i in 0..500u64 {
-            s.bulk_load(Key::from(i), val(472), v(1));
-        }
-        s.finish_load();
-        assert_eq!(h.now(), simkit::SimTime::ZERO);
-        sim.block_on(async move {
-            assert_eq!(
-                s.get_at(&Key::from(123u64), Timestamp(5))
-                    .await
-                    .unwrap()
-                    .version,
-                v(1)
-            );
-        });
-    }
-
-    #[test]
-    fn mount_recovers_chains_after_power_fail() {
-        let mut sim = Sim::new(11);
-        let h = sim.handle();
-        let s = store(&sim, 32);
-        sim.block_on(async move {
-            let k = Key::from(1u64);
-            for ts in [10u64, 20, 30] {
-                s.put(k.clone(), val(100), v(ts)).await.unwrap();
-            }
-            for i in 2..6u64 {
-                s.put(Key::from(i), val(100), v(i + 50)).await.unwrap();
-            }
-            // Let the packing windows flush everything durably.
-            h.sleep(Duration::from_millis(5)).await;
-            // A write still buffered (never programmed) at the failure is
-            // simply lost — it was never acked.
-            let s2 = s.clone();
-            h.spawn(async move {
-                let _ = s2.put(Key::from(9u64), val(100), v(900)).await;
-            });
-            // Past the 8 µs op overhead, inside the 1 ms packing window.
-            h.sleep(Duration::from_micros(12)).await;
-            s.power_fail();
-            assert_eq!(s.key_count(), 0);
-            let report = s.mount().await;
-            assert_eq!(report.keys, 5);
-            // Full version chain for key 1 survives: snapshot reads work.
-            assert_eq!(s.versions(&k), vec![v(30), v(20), v(10)]);
-            assert_eq!(s.get_at(&k, Timestamp(25)).await.unwrap().version, v(20));
-            assert!(s.get_latest(&Key::from(9u64)).await.is_err());
-            // The store keeps working after recovery.
-            s.put(Key::from(7u64), val(100), v(700)).await.unwrap();
-            assert_eq!(
-                s.get_latest(&Key::from(7u64)).await.unwrap().version,
-                v(700)
-            );
-        });
-    }
-
-    #[test]
-    fn unordered_applies_are_idempotent() {
-        let mut sim = Sim::new(1);
-        let s = store(&sim, 32);
-        sim.block_on(async move {
-            let k = Key::from(9u64);
-            s.apply_unordered(k.clone(), val(1), v(20)).await.unwrap();
-            s.apply_unordered(k.clone(), val(2), v(10)).await.unwrap();
-            s.apply_unordered(k.clone(), val(1), v(20)).await.unwrap();
-            assert_eq!(s.versions(&k), vec![v(20), v(10)]);
         });
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests: every multi-version backend must behave like a
 //! simple in-memory model of version chains under arbitrary operation
-//! streams — including GC churn, watermark pruning, and packing.
+//! streams — including GC churn, watermark pruning, packing, and replicated
+//! writes that arrive out of order or twice.
 
 use std::collections::BTreeMap;
 
@@ -20,6 +21,9 @@ enum Op {
     Watermark(u8),
     /// Delete a key outright.
     Delete(u8),
+    /// Replicated write of key, applied out of order: a duplicate of a
+    /// version the key holds, or an older version.
+    Apply(u8, u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -28,6 +32,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => (any::<u8>(), any::<u8>()).prop_map(|(k, d)| Op::GetAt(k, d)),
         1 => any::<u8>().prop_map(Op::Watermark),
         1 => any::<u8>().prop_map(Op::Delete),
+        2 => (any::<u8>(), any::<u8>()).prop_map(|(k, d)| Op::Apply(k, d)),
     ]
 }
 
@@ -47,6 +52,15 @@ impl Model {
             .position(|&(v, _)| v < version)
             .unwrap_or(chain.len());
         chain.insert(pos, (version, tag));
+    }
+
+    /// Replicated writes are idempotent: a version the chain already holds
+    /// keeps its original payload.
+    fn apply(&mut self, key: u64, version: Version, tag: u8) {
+        let chain = self.chains.entry(key).or_default();
+        if !chain.iter().any(|&(v, _)| v == version) {
+            self.put(key, version, tag);
+        }
     }
 
     fn prune(&mut self, key: u64) {
@@ -140,6 +154,33 @@ fn check_backend(kind: BackendKind, ops: Vec<Op>, seed: u64) {
                     }
                     store2.set_watermark(wm);
                 }
+                Op::Apply(k, back) => {
+                    let key = (k % 16) as u64;
+                    // Even `back`: a duplicate of a version the key holds,
+                    // with a new payload the store must ignore. Odd: an
+                    // older version between two earlier ops' timestamps.
+                    let dup = model
+                        .chains
+                        .get(&key)
+                        .filter(|c| back % 2 == 0 && !c.is_empty())
+                        .map(|c| c[(back as usize / 2) % c.len()].0);
+                    let version = dup.unwrap_or_else(|| {
+                        let ts = clock.saturating_sub((back % 16) as u64 * 1_000 + 500);
+                        Version::new(Timestamp(ts), client)
+                    });
+                    let tag = (clock % 251) as u8;
+                    match store2
+                        .apply_unordered(Key::from(key), value(vec![tag; 24]), version)
+                        .await
+                    {
+                        Ok(()) => {
+                            model.apply(key, version, tag);
+                            model.prune(key);
+                        }
+                        Err(StoreError::CapacityExhausted) => {}
+                        Err(e) => panic!("unexpected apply error: {e}"),
+                    }
+                }
                 Op::Delete(k) => {
                     let key = (k % 16) as u64;
                     store2.delete(&Key::from(key));
@@ -153,7 +194,10 @@ fn check_backend(kind: BackendKind, ops: Vec<Op>, seed: u64) {
             let got = store2.get_at(&Key::from(key), Timestamp(u64::MAX)).await;
             let expect = model.get_at(key, Timestamp(u64::MAX));
             match (got, expect) {
-                (Ok(vv), Some((version, _))) => assert_eq!(vv.version, version),
+                (Ok(vv), Some((version, tag))) => {
+                    assert_eq!(vv.version, version, "final key {key}");
+                    assert_eq!(vv.value[0], tag, "final key {key} wrong payload");
+                }
                 (Err(StoreError::NotFound), None) => {}
                 (got, expect) => panic!("final key {key}: store={got:?} model={expect:?}"),
             }

@@ -1,5 +1,5 @@
 //! A log-linear histogram (HDR-style, ~1.5 % relative error on
-//! percentiles), absorbed from `simkit::metrics` (which re-exports it).
+//! percentiles).
 
 use std::time::Duration;
 

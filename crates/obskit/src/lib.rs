@@ -9,8 +9,7 @@
 //!   and HDR histograms with cheap cloneable handles, usable from simulated
 //!   single-threaded tasks (`Rc`-based, not atomics: the simulation is
 //!   deterministic and single-threaded by design);
-//! - [`hist`] — the log-linear histogram (absorbed from `simkit::metrics`,
-//!   which now re-exports it);
+//! - [`hist`] — the log-linear histogram;
 //! - [`trace`] — **structured trace events** with virtual timestamps
 //!   (txn lifecycle, replica acks, GC, flash ops, clock syncs) recorded
 //!   into a bounded ring buffer;

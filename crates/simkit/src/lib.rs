@@ -10,8 +10,7 @@
 //!   revive, and partitions;
 //! - [`rpc`] — typed request/response with timeouts on top of [`net`];
 //! - [`sync`] — oneshot / mpsc channels and a fair semaphore;
-//! - [`rng`] — seeded distribution samplers (normal, exponential, Zipf);
-//! - [`metrics`] — an HDR-style histogram for latency accounting.
+//! - [`rng`] — seeded distribution samplers (normal, exponential, Zipf).
 //!
 //! Virtual time advances only when no task is runnable, so a fifteen-minute
 //! experiment takes however long its events take to process — and two runs
@@ -38,7 +37,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod executor;
-pub mod metrics;
 pub mod net;
 pub mod rng;
 pub mod rpc;
